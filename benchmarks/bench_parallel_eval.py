@@ -27,7 +27,7 @@ from repro.sim.controller import MemoryController
 from repro.sim.engine import controller_for, run_evaluation
 from repro.sim.factory import ARCHITECTURE_NAMES
 from repro.sim.simulator import summarize
-from repro.sim.stats import SimStats
+from repro.sim.stats import SimStats, assert_latencies_identical
 from repro.sim.tracegen import SPEC_WORKLOADS, get_workload
 
 NUM_REQUESTS = 3000
@@ -68,8 +68,8 @@ def compare(num_requests: int = NUM_REQUESTS,
     # Same physics: identical schedules (energy sums are re-associated).
     for arch in ARCHITECTURE_NAMES:
         for name in sorted(SPEC_WORKLOADS):
-            assert legacy[arch][name].latencies_ns \
-                == engine[arch][name].latencies_ns, (arch, name)
+            assert_latencies_identical(legacy[arch][name].latencies_ns,
+                                       engine[arch][name].latencies_ns)
 
     return {
         "num_requests": num_requests,

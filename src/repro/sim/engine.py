@@ -53,13 +53,14 @@ pool kind.
 from __future__ import annotations
 
 import atexit
+import contextlib
 import dataclasses
 import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
-                    Optional, Sequence, Tuple)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator,
+                    List, Optional, Sequence, Tuple)
 
 from ..errors import ReproError, SimulationError, TraceError
 from . import _fastloop
@@ -474,6 +475,41 @@ def adopt_trace_descriptor(descriptor: TraceDescriptor) -> None:
         _ADOPTED_TRACES[descriptor.key] = attach_trace_arrays(descriptor)
 
 
+#: Traces a thread fan-out pinned for the length of its batch, with the
+#: number of batches pinning each.  Consulted by :func:`evaluate_cell`
+#: after the adopted traces and before the bounded generation cache,
+#: so a batch with more distinct traces than that cache holds still
+#: generates each one exactly once (see :func:`_map_tasks_threads`).
+# staticcheck: guarded-by[_PIN_LOCK]
+_PINNED_TRACES: Dict[Tuple[str, int, int], Any] = {}
+# staticcheck: guarded-by[_PIN_LOCK]
+_PIN_COUNTS: Dict[Tuple[str, int, int], int] = {}
+_PIN_LOCK = threading.Lock()
+
+
+@contextlib.contextmanager
+def _pinned_traces(keys: Iterable[Tuple[str, int, int]]) -> Iterator[None]:
+    """Generate (or fetch) each distinct trace of ``keys`` once in the
+    calling thread and keep it referenced until the block exits."""
+    pinned: List[Tuple[str, int, int]] = []
+    try:
+        for key in dict.fromkeys(keys):
+            trace = _PINNED_TRACES.get(key)
+            if trace is None:
+                trace = cached_trace_arrays(*key)
+            with _PIN_LOCK:
+                _PINNED_TRACES.setdefault(key, trace)
+                _PIN_COUNTS[key] = _PIN_COUNTS.get(key, 0) + 1
+            pinned.append(key)
+        yield
+    finally:
+        with _PIN_LOCK:
+            for key in pinned:
+                _PIN_COUNTS[key] -= 1
+                if not _PIN_COUNTS[key]:
+                    del _PIN_COUNTS[key], _PINNED_TRACES[key]
+
+
 def evaluate_cell(task: EvalTask,
                   descriptor: Optional[TraceDescriptor] = None) -> SimStats:
     """Run one grid cell; the unit of work the pool distributes.
@@ -481,18 +517,20 @@ def evaluate_cell(task: EvalTask,
     ``descriptor`` names a shared-memory publication of the cell's
     trace: the columns are mapped zero-copy instead of generated.
     Without one, traces previously adopted via
-    :func:`adopt_trace_descriptor` (the fan-out path) are used, then
-    the per-process generation cache.
+    :func:`adopt_trace_descriptor` (the fork fan-out path) are used,
+    then traces pinned by a thread fan-out, then the per-process
+    generation cache.
     """
     t0 = time.perf_counter()
     if descriptor is not None:
         trace = attach_trace_arrays(descriptor)
     else:
-        trace = _ADOPTED_TRACES.get(
-            (task.workload, task.num_requests, task.seed))
+        key = (task.workload, task.num_requests, task.seed)
+        trace = _ADOPTED_TRACES.get(key)
         if trace is None:
-            trace = cached_trace_arrays(task.workload, task.num_requests,
-                                        task.seed)
+            trace = _PINNED_TRACES.get(key)
+        if trace is None:
+            trace = cached_trace_arrays(*key)
     t1 = time.perf_counter()
     stats = controller_for(task.architecture, task.queue_depth).run_arrays(
         trace, workload_name=task.workload)
@@ -666,30 +704,32 @@ def _map_tasks_threads(tasks: Sequence[EvalTask], workers: int,
     recurrence, so threads scale with zero fork latency, no result
     pickling, shared device/controller caches — and no shared-memory
     trace plane: each distinct trace is generated (or found cached)
-    once in this thread, then every worker reads the same arrays."""
-    for key in dict.fromkeys((task.workload, task.num_requests, task.seed)
-                             for task in tasks):
-        cached_trace_arrays(*key)
+    once in this thread and pinned until the batch ends, so every
+    worker reads the same arrays even when the batch has more distinct
+    traces than the generation cache holds."""
     executor = _ensure_thread_pool(workers)
     from concurrent.futures import as_completed
 
     slots: List[Optional[SimStats]] = [None] * len(tasks)
-    futures = {executor.submit(_evaluate_cell_checked, task): index
-               for index, task in enumerate(tasks)}
-    try:
-        for future in as_completed(futures):
-            index = futures[future]
-            stats = future.result()
-            count_computed()
-            if on_result is not None:
-                on_result(tasks[index], stats)
-            slots[index] = stats
-    except BaseException:
-        # One cell failed (annotated) or the caller interrupted: stop
-        # feeding the pool, let in-flight cells finish, keep the pool.
-        for future in futures:
-            future.cancel()
-        raise
+    with _pinned_traces((task.workload, task.num_requests, task.seed)
+                        for task in tasks):
+        futures = {executor.submit(_evaluate_cell_checked, task): index
+                   for index, task in enumerate(tasks)}
+        try:
+            for future in as_completed(futures):
+                index = futures[future]
+                stats = future.result()
+                count_computed()
+                if on_result is not None:
+                    on_result(tasks[index], stats)
+                slots[index] = stats
+        except BaseException:
+            # One cell failed (annotated) or the caller interrupted:
+            # stop feeding the pool, let in-flight cells finish, keep
+            # the pool.
+            for future in futures:
+                future.cancel()
+            raise
     return slots
 
 

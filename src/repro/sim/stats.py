@@ -12,12 +12,19 @@ fixed-bin **latency summary** — exact count/mean/min/max plus a
 log-spaced histogram — stands in: the mean and extremes stay exact and
 percentiles interpolate within their bin, so percentile queries against
 archival stores return numbers instead of NaN.
+
+``SimStats.latencies_ns`` is a read-only ``float64`` ndarray on every
+path — controller, store, wire decode, pool workers — so a cached result
+shared by the daemon LRU or a sweep cannot be mutated by a caller (a
+write raises ``ValueError``).  Lists handed to the constructor are
+converted once; ``to_dict()`` (or ``latencies_ns.tolist()``) gives the
+JSON form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -34,14 +41,69 @@ HIST_EDGES_NS = np.logspace(
     (HIST_DECADES[1] - HIST_DECADES[0]) * HIST_BINS_PER_DECADE + 1)
 
 
-def summarize_latencies(latencies_ns: List[float]) -> Dict[str, Any]:
-    """Fixed-bin summary of one latency sample set.
+#: The one empty sample array every sample-less result shares.
+_NO_SAMPLES = np.empty(0)
+_NO_SAMPLES.flags.writeable = False
+
+
+def _readonly_latencies(values: Union[np.ndarray, Sequence[float]]) \
+        -> np.ndarray:
+    """``values`` as a read-only 1-D ``float64`` array.
+
+    Zero-copy for a float64 array (a writable one is wrapped in a
+    read-only view, leaving the caller's array untouched); a list is
+    converted once.
+    """
+    if isinstance(values, np.ndarray):
+        array = np.asarray(values, dtype=np.float64)
+        if array.ndim != 1:
+            raise SimulationError("latency samples must be one-dimensional")
+        if array.flags.writeable and array is values:
+            array = array.view()
+    elif not len(values):
+        return _NO_SAMPLES
+    else:
+        array = np.fromiter(values, dtype=np.float64, count=len(values))
+    array.flags.writeable = False
+    return array
+
+
+def assert_latencies_identical(
+        actual: np.ndarray,
+        expected: Union[np.ndarray, Sequence[float]]) -> None:
+    """Raise ``AssertionError`` unless ``actual`` is a read-only 1-D
+    ``float64`` array holding exactly ``expected``'s IEEE-754 bytes.
+
+    ``expected`` is another result's ``latencies_ns`` (held to the same
+    contract) or a list of floats.  The cross-tier equivalence pins use
+    this instead of ``==``; it also rejects NaN, which list equality
+    never matched.
+    """
+    arrays = [actual]
+    if isinstance(expected, np.ndarray):
+        arrays.append(expected)
+    for array in arrays:
+        if not isinstance(array, np.ndarray) or array.dtype != np.float64 \
+                or array.ndim != 1:
+            raise AssertionError(
+                f"latencies must be a 1-D float64 ndarray, got "
+                f"{type(array).__name__} {getattr(array, 'dtype', '')}")
+        if array.flags.writeable:
+            raise AssertionError("latencies array is writable")
+    want = np.asarray(expected, dtype=np.float64)
+    if actual.tobytes() != want.tobytes() \
+            or not np.array_equal(actual, want):
+        raise AssertionError(
+            f"latencies differ: {len(actual)} samples vs {len(want)}")
+
+
+def summarize_latencies(samples: np.ndarray) -> Dict[str, Any]:
+    """Fixed-bin summary of one ``latencies_ns`` array.
 
     ``counts`` has ``len(HIST_EDGES_NS) + 1`` entries: an underflow bin
     below the first edge, the log-spaced bins, and an overflow bin at
     the top — every sample lands somewhere, whatever the device.
     """
-    samples = np.asarray(latencies_ns, dtype=np.float64)
     if len(samples) == 0:
         raise SimulationError("no latency samples to summarize")
     counts = np.bincount(np.searchsorted(HIST_EDGES_NS, samples,
@@ -99,7 +161,10 @@ class SimStats:
     sim_time_ns: float
     busy_time_ns: float
     active_time_ns: float
-    latencies_ns: List[float] = field(repr=False, default_factory=list)
+    #: Per-request latencies: a read-only float64 array (see the module
+    #: docstring); any sequence passed in is converted once.
+    latencies_ns: np.ndarray = field(repr=False,
+                                     default_factory=lambda: _NO_SAMPLES)
     op_energy_j: float = 0.0
     refresh_energy_j: float = 0.0
     refresh_count: int = 0
@@ -116,6 +181,21 @@ class SimStats:
     def __post_init__(self) -> None:
         if self.sim_time_ns <= 0.0:
             raise SimulationError("simulation time must be positive")
+        self.latencies_ns = _readonly_latencies(self.latencies_ns)
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        # Unpickling (fork-pool and process-executor results, deepcopy)
+        # yields a writable array; restore the read-only contract.
+        self.__dict__.update(state)
+        self.latencies_ns = _readonly_latencies(self.latencies_ns)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        names = [f.name for f in fields(self) if f.name != "latencies_ns"]
+        return (np.array_equal(self.latencies_ns, other.latencies_ns)
+                and tuple(getattr(self, name) for name in names)
+                == tuple(getattr(other, name) for name in names))
 
     # -- throughput ---------------------------------------------------------
 
@@ -132,7 +212,7 @@ class SimStats:
 
     @property
     def avg_latency_ns(self) -> float:
-        if not self.latencies_ns:
+        if not len(self.latencies_ns):
             if self.latency_summary is not None:
                 return float(self.latency_summary["mean_ns"])   # exact
             raise SimulationError("no completed requests")
@@ -140,7 +220,7 @@ class SimStats:
 
     @property
     def p95_latency_ns(self) -> float:
-        if not self.latencies_ns:
+        if not len(self.latencies_ns):
             if self.latency_summary is not None:
                 # Histogram estimate (exact mean/extremes, interpolated
                 # percentile) — what archival stores serve.
@@ -150,7 +230,7 @@ class SimStats:
 
     @property
     def max_latency_ns(self) -> float:
-        if not self.latencies_ns:
+        if not len(self.latencies_ns):
             if self.latency_summary is not None:
                 return float(self.latency_summary["max_ns"])    # exact
             raise SimulationError("no completed requests")
@@ -203,7 +283,7 @@ class SimStats:
         NaN columns rather than crashing a partially printed table.
         Archival entries (summary, no samples) produce real numbers.
         """
-        if not self.latencies_ns and self.latency_summary is None:
+        if not len(self.latencies_ns) and self.latency_summary is None:
             nan = float("nan")
             return {"avg_latency_ns": nan, "p95_latency_ns": nan,
                     "max_latency_ns": nan}
@@ -240,8 +320,8 @@ class SimStats:
         """
         payload = {f.name: getattr(self, f.name) for f in fields(self)}
         payload["latencies_ns"] = (
-            [float(v) for v in self.latencies_ns] if latencies else [])
-        if not latencies and self.latencies_ns \
+            self.latencies_ns.tolist() if latencies else [])
+        if not latencies and len(self.latencies_ns) \
                 and self.latency_summary is None:
             payload["latency_summary"] = summarize_latencies(
                 self.latencies_ns)
@@ -253,7 +333,8 @@ class SimStats:
 
         Python floats round-trip exactly through ``json`` (repr-based),
         so ``from_dict(json.loads(json.dumps(s.to_dict()))) == s``
-        bit-for-bit.
+        bit-for-bit; the decoded latency list is converted to the
+        read-only array exactly once, in the constructor.
         """
         known = {f.name for f in fields(cls)}
         return cls(**{key: value for key, value in payload.items()

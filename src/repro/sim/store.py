@@ -11,6 +11,11 @@ written atomically so an interrupted sweep never leaves a torn entry:
 whatever completed before the interruption is served from disk on the
 next run, byte-identical to a cold computation.
 
+Latencies move between the store and :class:`~repro.sim.stats.SimStats`
+without conversion: ``put`` packs the stats' read-only ``float64``
+array as-is, and ``get`` returns an array that is a zero-copy,
+read-only view of the sidecar bytes.
+
 This is the durability layer the sweep runner (:mod:`repro.sim.sweep`),
 ``run_evaluation(store=...)`` and the incremental Fig. 9 regeneration
 build on.
@@ -66,7 +71,7 @@ def _current_umask() -> int:
     return umask
 
 
-def _pack_latencies(latencies: Sequence[float]) -> bytes:
+def _pack_latencies(latencies: np.ndarray) -> bytes:
     """Per-request latencies as little-endian float64 bytes.
 
     The bulky part of an entry lives in a binary sidecar: packed floats
@@ -76,8 +81,9 @@ def _pack_latencies(latencies: Sequence[float]) -> bytes:
     return np.asarray(latencies, dtype="<f8").tobytes()
 
 
-def _unpack_latencies(blob: bytes) -> List[float]:
-    return np.frombuffer(blob, dtype="<f8").tolist()
+def _unpack_latencies(blob: bytes) -> np.ndarray:
+    """Zero-copy, read-only float64 view of packed sidecar bytes."""
+    return np.frombuffer(blob, dtype="<f8")
 
 
 _FINGERPRINT_CACHE: Dict[Tuple[str, str], str] = {}

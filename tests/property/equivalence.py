@@ -27,6 +27,7 @@ from repro.sim.controller import MemoryController
 from repro.sim.devices import (EnergyModel, MemoryDeviceModel, RefreshSpec)
 from repro.sim.engine import controller_for
 from repro.sim.factory import build_device, known_architectures
+from repro.sim.stats import assert_latencies_identical
 from repro.sim.tracegen import (TraceArrays, WORKLOAD_NAMES,
                                 cached_trace_arrays)
 
@@ -155,7 +156,7 @@ def assert_tiers_identical(cell):
     scalar = controller.run_arrays(trace, workload_name=workload, fast=False)
     assert fast.to_dict() == scalar.to_dict()
     reference = controller.run_reference(trace.to_requests(), workload)
-    assert fast.latencies_ns == reference.latencies_ns
+    assert_latencies_identical(fast.latencies_ns, reference.latencies_ns)
     assert fast.sim_time_ns == reference.sim_time_ns
     assert fast.busy_time_ns == reference.busy_time_ns
     assert fast.active_time_ns == reference.active_time_ns

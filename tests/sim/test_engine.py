@@ -2,6 +2,7 @@
 
 import os
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
@@ -16,7 +17,8 @@ from repro.sim.engine import (
     evaluate_cell,
     run_evaluation,
 )
-from repro.sim.stats import kernel_dispatch_summary
+from repro.sim.stats import (assert_latencies_identical,
+                             kernel_dispatch_summary)
 from repro.sim.tracegen import cached_trace_arrays, generate_trace
 
 ARCHS = ("COSMOS", "EPCM-MM", "2D_DDR3")
@@ -77,7 +79,8 @@ class TestParallelSerialEquivalence:
                 reference = controller.run_reference(
                     generate_trace(workload, 800, seed=5), workload)
                 vectorized = controller.run(trace, workload)
-                assert vectorized.latencies_ns == reference.latencies_ns
+                assert_latencies_identical(vectorized.latencies_ns,
+                                           reference.latencies_ns)
                 assert vectorized.sim_time_ns == reference.sim_time_ns
                 assert vectorized.busy_time_ns == reference.busy_time_ns
                 assert vectorized.row_hits == reference.row_hits
@@ -206,7 +209,7 @@ class TestQueueDepthOverride:
         base = evaluate_cell(EvalTask("EPCM-MM", "gcc", 500, 3))
         shallow = evaluate_cell(EvalTask("EPCM-MM", "gcc", 500, 3,
                                          queue_depth=1))
-        assert shallow.latencies_ns != base.latencies_ns
+        assert not np.array_equal(shallow.latencies_ns, base.latencies_ns)
 
 
 class TestCaches:

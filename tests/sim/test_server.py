@@ -18,6 +18,7 @@ from repro.sim import engine
 from repro.sim.client import AsyncEvalClient, EvalClient
 from repro.sim.engine import EvalTask, evaluate_cell, task_to_dict
 from repro.sim.server import EvalServer, MAX_CELLS_PER_QUERY, _parse_query
+from repro.sim.stats import assert_latencies_identical
 from repro.sim.store import ResultStore
 from repro.sim.sweep import SweepSpec
 
@@ -150,7 +151,7 @@ class TestServedResults:
             client = AsyncEvalClient(server.http_address)
             return await client.eval_cell(TASK, latencies=False)
         lean = run_scenario(scenario)
-        assert lean.latencies_ns == []
+        assert_latencies_identical(lean.latencies_ns, [])
         assert lean.bandwidth_gbps == evaluate_cell(TASK).bandwidth_gbps
 
     def test_sync_client_over_unix_line_protocol(self, tmp_path):

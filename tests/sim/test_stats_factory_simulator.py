@@ -7,7 +7,8 @@ import pytest
 
 from repro.errors import ConfigError, SimulationError
 from repro.sim import ARCHITECTURE_NAMES, MainMemorySimulator, build_device
-from repro.sim.stats import SimStats, geometric_mean
+from repro.sim.stats import (SimStats, assert_latencies_identical,
+                             geometric_mean)
 
 
 def make_stats(**overrides):
@@ -191,7 +192,8 @@ class TestArrivalOrderHandling:
         simulator = MainMemorySimulator("EPCM-MM")
         scrambled = simulator.run(self._trace(shuffled))
         ordered = simulator.run(self._trace(sorted(shuffled)))
-        assert scrambled.latencies_ns == ordered.latencies_ns
+        assert_latencies_identical(scrambled.latencies_ns,
+                                   ordered.latencies_ns)
         assert scrambled.sim_time_ns == ordered.sim_time_ns
 
     def test_sorted_input_not_copied(self, monkeypatch):

@@ -17,6 +17,7 @@ from repro.sim.store import (
     task_digest,
     workload_fingerprint,
 )
+from repro.sim.stats import assert_latencies_identical
 
 TASK = EvalTask("EPCM-MM", "gcc", 400, 7)
 
@@ -128,7 +129,7 @@ class TestResultStore:
         stats = evaluate_cell(TASK)
         store.put(TASK, stats, latencies=False)
         lean = store.get(TASK)
-        assert lean.latencies_ns == []
+        assert_latencies_identical(lean.latencies_ns, [])
         assert lean.bandwidth_gbps == stats.bandwidth_gbps
         assert lean.avg_latency_ns == stats.avg_latency_ns
         assert lean.max_latency_ns == stats.max_latency_ns
@@ -147,7 +148,7 @@ class TestResultStore:
         assert sidecar.exists()
         store.put(TASK, stats, latencies=False)
         assert not sidecar.exists()
-        assert store.get(TASK).latencies_ns == []
+        assert_latencies_identical(store.get(TASK).latencies_ns, [])
 
 
 class TestInvalidation:
