@@ -1,25 +1,55 @@
-"""Evaluation-daemon smoke test: start, one miss + one hit, clean exit.
+"""Evaluation-daemon smoke test: start, one miss + one hit, reply
+negotiation, clean exit.
 
 The CI job runs this end to end against real processes (no pytest, no
 in-process shortcuts): launch ``python -m repro.sim serve`` as a
 subprocess, wait for its ready line, issue one cache-miss query and the
 same query again (served without recomputation — verified via
-``/stats``), then request shutdown and assert the daemon exits 0.
+``/stats``), check that a latency query asking for the binary frame
+gets one while a request without an ``Accept`` header gets JSON, and
+that both decode to identical stats, then request shutdown and assert
+the daemon exits 0.
 
 Usage::
 
     PYTHONPATH=src python examples/server_smoke.py
 """
 
+import http.client
+import json
 import os
 import subprocess
 import sys
 import tempfile
+import urllib.parse
 
 from repro.sim.client import EvalClient
-from repro.sim.engine import EvalTask, evaluate_cell
+from repro.sim.engine import EvalTask, evaluate_cell, task_to_dict
+from repro.sim.stats import SimStats
+from repro.sim.wire import FRAME_ACCEPT, decode_eval_reply, is_frame
 
 TASK = EvalTask("EPCM-MM", "gcc", 500, 7)
+
+
+def raw_eval(address: str, accept: str = ""):
+    """One ``POST /eval`` for ``TASK`` with latencies, spoken with the
+    stdlib only → (content type, stats decoded from the body)."""
+    parsed = urllib.parse.urlsplit(address)
+    connection = http.client.HTTPConnection(parsed.hostname, parsed.port,
+                                            timeout=60)
+    headers = {"Accept": accept} if accept else {}
+    try:
+        connection.request("POST", "/eval", headers=headers, body=json.dumps(
+            {"task": task_to_dict(TASK), "latencies": True}).encode())
+        response = connection.getresponse()
+        content_type = response.getheader("Content-Type", "")
+        body = response.read()
+    finally:
+        connection.close()
+    assert response.status == 200, (response.status, body[:200])
+    reply = decode_eval_reply(body) if is_frame(content_type) \
+        else json.loads(body)
+    return content_type, SimStats.from_dict(reply["results"][0]["stats"])
 
 
 def main() -> int:
@@ -55,6 +85,17 @@ def main() -> int:
         direct = evaluate_cell(TASK)
         assert miss == direct, "served stats differ from direct evaluation"
         print("served stats bit-identical to direct evaluate_cell")
+
+        framed_type, framed = raw_eval(address, FRAME_ACCEPT)
+        assert is_frame(framed_type), \
+            f"latency query not answered with a frame: {framed_type!r}"
+        plain_type, plain = raw_eval(address)
+        assert plain_type == "application/json", \
+            f"request without Accept not answered with JSON: {plain_type!r}"
+        assert framed.latencies_ns.tobytes() == plain.latencies_ns.tobytes()
+        assert framed == plain == direct, \
+            "frame and JSON replies decode to different stats"
+        print("frame and JSON replies negotiated and bit-identical")
 
         client.shutdown()
         code = daemon.wait(timeout=60)

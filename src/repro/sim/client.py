@@ -1,6 +1,6 @@
 """Clients for the async evaluation service (:mod:`repro.sim.server`).
 
-Two transports, one wire format:
+Two transports:
 
 * ``http://host:port`` — the daemon's HTTP endpoint, spoken by the sync
   :class:`EvalClient` (stdlib ``http.client``) and the
@@ -8,11 +8,20 @@ Two transports, one wire format:
 * ``unix:///path/to.sock`` — the newline-delimited-JSON line protocol
   over a unix socket (both clients).
 
+Over HTTP, an ``/eval`` request that wants latencies asks for the
+binary frame (``Accept:`` :data:`~repro.sim.wire.FRAME_ACCEPT`): the
+reply rows arrive as JSON and the per-request samples as raw float64
+blocks (:mod:`repro.sim.wire`), which become read-only zero-copy views
+of the response bytes.  Every other request and reply is JSON, and the
+decoder is picked by the response's ``Content-Type``, so a daemon that
+only speaks JSON still works.
+
 ``REPRO_EVAL_SERVER`` names the default server address, which is how
 ``exp/fig9.py`` and the ``python -m repro.sim query`` CLI find a warm
 daemon.  Responses deserialize back into :class:`SimStats` that are
-bit-identical to a local :func:`repro.sim.engine.evaluate_cell` call
-(Python floats survive JSON exactly).
+bit-identical to a local :func:`repro.sim.engine.evaluate_cell` call:
+the frame carries the samples' IEEE-754 bytes, and Python floats
+survive JSON exactly.
 
 **Transient failures.**  Connection-level problems — refused connects,
 resets, a daemon restarting mid-sweep — raise :class:`TransportError`
@@ -42,6 +51,7 @@ from .engine import EvalTask, task_to_dict
 from .server import MAX_BODY_BYTES, MAX_HEADER_LINES
 from .stats import SimStats
 from .sweep import SweepSpec
+from .wire import FRAME_ACCEPT, decode_eval_reply, is_frame
 
 #: Environment variable naming the default evaluation-server address;
 #: when set, ``exp/fig9.py`` routes its grid through the daemon.
@@ -133,6 +143,17 @@ def _check_reply(reply: Any, status: Optional[int] = None) -> Dict[str, Any]:
     return reply
 
 
+def _decode_reply(raw: bytes, content_type: str) -> Any:
+    """An HTTP response body, decoded by its ``Content-Type``."""
+    if is_frame(content_type):
+        return decode_eval_reply(raw)
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError as error:
+        raise SimulationError(
+            f"malformed server response: {error}") from error
+
+
 def _results_to_stats(tasks: Sequence[EvalTask], reply: Dict[str, Any]) \
         -> Dict[EvalTask, SimStats]:
     """Zip an eval reply back onto the requested tasks (server order ==
@@ -176,8 +197,8 @@ class EvalClient:
     # -- transport ----------------------------------------------------------
 
     def _http_request(self, method: str, path: str,
-                      payload: Optional[Dict[str, Any]] = None) \
-            -> Tuple[int, Any]:
+                      payload: Optional[Dict[str, Any]] = None,
+                      frame: bool = False) -> Tuple[int, Any]:
         host, port = self.target
         connection = http.client.HTTPConnection(host, port,
                                                 timeout=self.timeout)
@@ -186,6 +207,8 @@ class EvalClient:
                 else None
             headers = {"Content-Type": "application/json"} \
                 if body is not None else {}
+            if frame:
+                headers["Accept"] = FRAME_ACCEPT
             try:
                 connection.request(method, path, body=body, headers=headers)
                 response = connection.getresponse()
@@ -194,11 +217,8 @@ class EvalClient:
                 raise TransportError(
                     f"evaluation server {host}:{port} unreachable: "
                     f"{error}") from error
-            try:
-                return response.status, json.loads(raw)
-            except json.JSONDecodeError as error:
-                raise SimulationError(
-                    f"malformed server response: {error}") from error
+            return response.status, _decode_reply(
+                raw, response.getheader("Content-Type", ""))
         finally:
             connection.close()
 
@@ -223,24 +243,25 @@ class EvalClient:
                 f"malformed server response: {error}") from error
 
     def _call_once(self, op: str, path: str, method: str,
-                   payload: Optional[Dict[str, Any]] = None) \
-            -> Dict[str, Any]:
+                   payload: Optional[Dict[str, Any]] = None,
+                   frame: bool = False) -> Dict[str, Any]:
         if self.transport == "unix":
             message = dict(payload or {})
             message["op"] = op
             return _check_reply(self._line_request(message))
-        status, reply = self._http_request(method, path, payload)
+        status, reply = self._http_request(method, path, payload, frame)
         return _check_reply(reply, status)
 
     def _call(self, op: str, path: str, method: str,
-              payload: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+              payload: Optional[Dict[str, Any]] = None,
+              frame: bool = False) -> Dict[str, Any]:
         attempts = 1 if op in NON_IDEMPOTENT_OPS else self.retries + 1
         for attempt in range(attempts):
             if attempt:
                 time.sleep(_retry_delay(self.backoff, attempt - 1,
                                         self.max_backoff))
             try:
-                return self._call_once(op, path, method, payload)
+                return self._call_once(op, path, method, payload, frame)
             except TransportError:
                 if attempt + 1 >= attempts:
                     raise
@@ -257,7 +278,8 @@ class EvalClient:
             return {}
         payload = {"tasks": [task_to_dict(task) for task in tasks],
                    "latencies": latencies}
-        reply = self._call("eval", "/eval", "POST", payload)
+        reply = self._call("eval", "/eval", "POST", payload,
+                           frame=latencies)
         return _results_to_stats(tasks, reply)
 
     def eval_cell(self, task: EvalTask, latencies: bool = True) -> SimStats:
@@ -268,7 +290,8 @@ class EvalClient:
                    latencies: bool = True) -> Dict[EvalTask, SimStats]:
         """Evaluate a full sweep spec server-side."""
         payload = {"sweep": spec.to_dict(), "latencies": latencies}
-        reply = self._call("eval", "/eval", "POST", payload)
+        reply = self._call("eval", "/eval", "POST", payload,
+                           frame=latencies)
         return _results_to_stats(spec.tasks(), reply)
 
     def stats(self) -> Dict[str, Any]:
@@ -343,8 +366,8 @@ class AsyncEvalClient:
                 f"{error}") from error
 
     async def _http_request(self, method: str, path: str,
-                            payload: Optional[Dict[str, Any]] = None) \
-            -> Tuple[int, Any]:
+                            payload: Optional[Dict[str, Any]] = None,
+                            frame: bool = False) -> Tuple[int, Any]:
         import asyncio
 
         host, port = self.target
@@ -359,8 +382,9 @@ class AsyncEvalClient:
         try:
             body = json.dumps(payload).encode() if payload is not None \
                 else b""
+            accept = f"Accept: {FRAME_ACCEPT}\r\n" if frame else ""
             head = (f"{method} {path} HTTP/1.1\r\n"
-                    f"Host: {host}:{port}\r\n"
+                    f"Host: {host}:{port}\r\n{accept}"
                     f"Content-Type: application/json\r\n"
                     f"Content-Length: {len(body)}\r\n"
                     f"Connection: close\r\n\r\n").encode("latin-1")
@@ -380,6 +404,7 @@ class AsyncEvalClient:
                 raise SimulationError(
                     f"malformed HTTP status line: {status_line!r}") from None
             length = 0
+            content_type = ""
             header_lines = 0
             while True:
                 line = await self._read_line(reader, "HTTP header line")
@@ -393,7 +418,10 @@ class AsyncEvalClient:
                         f"server response has more than "
                         f"{MAX_HEADER_LINES} header lines")
                 name, _, value = line.decode("latin-1").partition(":")
-                if name.strip().lower() == "content-length":
+                name = name.strip().lower()
+                if name == "content-type":
+                    content_type = value.strip()
+                elif name == "content-length":
                     try:
                         length = int(value.strip())
                     except ValueError:
@@ -412,11 +440,7 @@ class AsyncEvalClient:
             except asyncio.TimeoutError as error:
                 raise TransportError(
                     "evaluation server timed out mid-response") from error
-            try:
-                return status, json.loads(raw)
-            except json.JSONDecodeError as error:
-                raise SimulationError(
-                    f"malformed server response: {error}") from error
+            return status, _decode_reply(raw, content_type)
         except asyncio.IncompleteReadError as error:
             raise TransportError(
                 f"evaluation server closed mid-response: {error}") from error
@@ -468,18 +492,19 @@ class AsyncEvalClient:
                 f"malformed server response: {error}") from error
 
     async def _call_once(self, op: str, path: str, method: str,
-                         payload: Optional[Dict[str, Any]] = None) \
-            -> Dict[str, Any]:
+                         payload: Optional[Dict[str, Any]] = None,
+                         frame: bool = False) -> Dict[str, Any]:
         if self.transport == "unix":
             message = dict(payload or {})
             message["op"] = op
             return _check_reply(await self._line_request(message))
-        status, reply = await self._http_request(method, path, payload)
+        status, reply = await self._http_request(method, path, payload,
+                                                 frame)
         return _check_reply(reply, status)
 
     async def _call(self, op: str, path: str, method: str,
-                    payload: Optional[Dict[str, Any]] = None) \
-            -> Dict[str, Any]:
+                    payload: Optional[Dict[str, Any]] = None,
+                    frame: bool = False) -> Dict[str, Any]:
         import asyncio
 
         attempts = 1 if op in NON_IDEMPOTENT_OPS else self.retries + 1
@@ -488,7 +513,8 @@ class AsyncEvalClient:
                 await asyncio.sleep(_retry_delay(self.backoff, attempt - 1,
                                                  self.max_backoff))
             try:
-                return await self._call_once(op, path, method, payload)
+                return await self._call_once(op, path, method, payload,
+                                             frame)
             except TransportError:
                 if attempt + 1 >= attempts:
                     raise
@@ -501,7 +527,8 @@ class AsyncEvalClient:
             return {}
         payload = {"tasks": [task_to_dict(task) for task in tasks],
                    "latencies": latencies}
-        reply = await self._call("eval", "/eval", "POST", payload)
+        reply = await self._call("eval", "/eval", "POST", payload,
+                                 frame=latencies)
         return _results_to_stats(tasks, reply)
 
     async def eval_cell(self, task: EvalTask,
@@ -511,7 +538,8 @@ class AsyncEvalClient:
     async def eval_sweep(self, spec: SweepSpec,
                          latencies: bool = True) -> Dict[EvalTask, SimStats]:
         payload = {"sweep": spec.to_dict(), "latencies": latencies}
-        reply = await self._call("eval", "/eval", "POST", payload)
+        reply = await self._call("eval", "/eval", "POST", payload,
+                                 frame=latencies)
         return _results_to_stats(spec.tasks(), reply)
 
     async def stats(self) -> Dict[str, Any]:

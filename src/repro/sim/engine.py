@@ -108,8 +108,16 @@ _CACHE_LOCK = threading.Lock()
 #: size.
 _WORKER_POOL: Optional[Tuple[Any, int]] = None
 
-#: The persistent thread pool: (ThreadPoolExecutor, worker count).
+#: The persistent thread pool: (ThreadPoolExecutor, worker count), and
+#: the number of batches running on each executor.  A fan-out with a
+#: different worker count replaces the current pool, but an executor is
+#: only shut down once no batch uses it any more (see
+#: :func:`_leased_thread_pool`).
+# staticcheck: guarded-by[_THREAD_POOL_LOCK]
 _THREAD_POOL: Optional[Tuple[Any, int]] = None
+# staticcheck: guarded-by[_THREAD_POOL_LOCK]
+_THREAD_POOL_LEASES: Dict[Any, int] = {}
+_THREAD_POOL_LOCK = threading.Lock()
 
 #: Per-phase wall-clock accumulators for ``--profile``.  Thread-safe
 #: (pool threads accumulate concurrently); fork workers accumulate in
@@ -333,8 +341,20 @@ def clear_device_caches() -> None:
 
 def shutdown_worker_pool() -> None:
     """Terminate the persistent pools — fork and thread alike (the next
-    fan-out rebuilds whichever it needs)."""
-    global _WORKER_POOL, _THREAD_POOL
+    fan-out rebuilds whichever it needs).  A thread pool that a batch
+    is still running on is detached now and shut down when that batch
+    ends."""
+    global _THREAD_POOL
+    _shutdown_fork_pool()
+    with _THREAD_POOL_LOCK:
+        idle = _unused_executor(_THREAD_POOL)
+        _THREAD_POOL = None
+    if idle is not None:
+        _shutdown_executor(idle, wait=True)
+
+
+def _shutdown_fork_pool() -> None:
+    global _WORKER_POOL
     if _WORKER_POOL is not None:
         pool, _size = _WORKER_POOL
         _WORKER_POOL = None
@@ -343,18 +363,18 @@ def shutdown_worker_pool() -> None:
             pool.join()
         except (OSError, ValueError):
             pass
-    if _THREAD_POOL is not None:
-        executor, _size = _THREAD_POOL
-        _THREAD_POOL = None
+
+
+def _shutdown_executor(executor: Any, wait: bool) -> None:
+    try:
+        executor.shutdown(wait=wait, cancel_futures=True)
+    except (OSError, RuntimeError, TypeError):
+        # ``cancel_futures`` needs 3.9+; older interpreters retry the
+        # plain shutdown.
         try:
-            executor.shutdown(wait=True, cancel_futures=True)
-        except (OSError, RuntimeError, TypeError):
-            # ``cancel_futures`` needs 3.9+; older interpreters retry
-            # the plain shutdown.
-            try:
-                executor.shutdown(wait=True)
-            except (OSError, RuntimeError):
-                pass
+            executor.shutdown(wait=wait)
+        except (OSError, RuntimeError):
+            pass
 
 
 def _ensure_worker_pool(workers: int):
@@ -365,7 +385,7 @@ def _ensure_worker_pool(workers: int):
         pool, size = _WORKER_POOL
         if size == workers:
             return pool
-        shutdown_worker_pool()
+        _shutdown_fork_pool()
     try:
         import multiprocessing
 
@@ -381,21 +401,53 @@ def _ensure_worker_pool(workers: int):
     return pool
 
 
-def _ensure_thread_pool(workers: int):
-    """The persistent thread pool, mirroring :func:`_ensure_worker_pool`
-    (rebuilt only when the requested size changes)."""
-    global _THREAD_POOL
-    if _THREAD_POOL is not None:
-        executor, size = _THREAD_POOL
-        if size == workers:
-            return executor
-        shutdown_worker_pool()
-    from concurrent.futures import ThreadPoolExecutor
+def _unused_executor(pool: Optional[Tuple[Any, int]]) -> Optional[Any]:
+    """The executor of a thread pool being detached, if no batch uses
+    it (the caller holds ``_THREAD_POOL_LOCK`` and shuts it down after
+    releasing it); ``None`` otherwise — a pool still in use is shut
+    down by its last batch."""
+    if pool is None or _THREAD_POOL_LEASES.get(pool[0]):
+        return None
+    return pool[0]
 
-    executor = ThreadPoolExecutor(max_workers=workers,
-                                  thread_name_prefix="repro-eval")
-    _THREAD_POOL = (executor, workers)
-    return executor
+
+@contextlib.contextmanager
+def _leased_thread_pool(workers: int) -> Iterator[Any]:
+    """The persistent thread pool, held for one batch.
+
+    Rebuilt only when the requested size changes.  Creation and
+    replacement happen under ``_THREAD_POOL_LOCK``, and every batch
+    counts itself on the executor it submits to, so concurrent fan-outs
+    with different worker counts never shut down an executor another
+    batch is still waiting on: a replaced pool is shut down by the last
+    batch that leaves it.
+    """
+    global _THREAD_POOL
+    idle = None
+    with _THREAD_POOL_LOCK:
+        if _THREAD_POOL is None or _THREAD_POOL[1] != workers:
+            from concurrent.futures import ThreadPoolExecutor
+
+            idle = _unused_executor(_THREAD_POOL)
+            _THREAD_POOL = (ThreadPoolExecutor(
+                max_workers=workers, thread_name_prefix="repro-eval"),
+                workers)
+        executor = _THREAD_POOL[0]
+        _THREAD_POOL_LEASES[executor] = \
+            _THREAD_POOL_LEASES.get(executor, 0) + 1
+    if idle is not None:
+        _shutdown_executor(idle, wait=True)
+    try:
+        yield executor
+    finally:
+        with _THREAD_POOL_LOCK:
+            _THREAD_POOL_LEASES[executor] -= 1
+            orphaned = not _THREAD_POOL_LEASES[executor] and (
+                _THREAD_POOL is None or _THREAD_POOL[0] is not executor)
+            if not _THREAD_POOL_LEASES[executor]:
+                del _THREAD_POOL_LEASES[executor]
+        if orphaned:
+            _shutdown_executor(executor, wait=False)
 
 
 def resolve_pool(pool: Optional[str] = None) -> str:
@@ -427,7 +479,7 @@ atexit.register(shutdown_worker_pool)
 os.register_at_fork(
     after_in_child=lambda: globals().update(
         _CACHE_LOCK=threading.Lock(), _PROFILE_LOCK=threading.Lock(),
-        _COMPUTED_LOCK=threading.Lock()))
+        _COMPUTED_LOCK=threading.Lock(), _THREAD_POOL_LOCK=threading.Lock()))
 
 
 def controller_for(architecture: str,
@@ -707,12 +759,12 @@ def _map_tasks_threads(tasks: Sequence[EvalTask], workers: int,
     once in this thread and pinned until the batch ends, so every
     worker reads the same arrays even when the batch has more distinct
     traces than the generation cache holds."""
-    executor = _ensure_thread_pool(workers)
     from concurrent.futures import as_completed
 
     slots: List[Optional[SimStats]] = [None] * len(tasks)
-    with _pinned_traces((task.workload, task.num_requests, task.seed)
-                        for task in tasks):
+    with _leased_thread_pool(workers) as executor, \
+            _pinned_traces((task.workload, task.num_requests, task.seed)
+                           for task in tasks):
         futures = {executor.submit(_evaluate_cell_checked, task): index
                    for index, task in enumerate(tasks)}
         try:

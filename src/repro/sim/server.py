@@ -37,9 +37,15 @@ the online layer over them — an asyncio daemon that answers evaluation
   failing cell (the same ``grid cell (...) failed`` shape the sweep
   path uses) — never a hung connection or a bare worker traceback.
 
-Served stats are bit-identical to a direct :func:`evaluate_cell` call:
-the wire format is ``SimStats.to_dict`` and Python floats round-trip
-exactly through JSON.
+Served stats are bit-identical to a direct :func:`evaluate_cell` call.
+Every reply is JSON (``SimStats.to_dict`` rows; Python floats
+round-trip exactly through JSON) except one: an HTTP ``/eval`` request
+that sends ``Accept:`` :data:`~repro.sim.wire.FRAME_ACCEPT` gets its
+successful latency-bearing reply as a :mod:`repro.sim.wire` frame — the
+same rows with the per-request samples as raw little-endian float64
+blocks, written straight from the resolved arrays.  Errors, ``/stats``,
+``/healthz``, ``/shutdown``, ``latencies: false`` replies, the line
+protocol and requests without that header stay exactly as they were.
 """
 
 from __future__ import annotations
@@ -62,6 +68,7 @@ from .engine import (EvalTask, _resolve_workers, evaluate_cell_checked,
 from .stats import SimStats
 from .store import ResultStore, task_digest
 from .sweep import SweepSpec
+from .wire import FRAME_CONTENT_TYPE, accepts_frame, encode_eval_reply
 
 #: Default size of the in-process LRU over deserialized SimStats.
 DEFAULT_LRU_SIZE = 256
@@ -470,12 +477,16 @@ class EvalServer:
                 f"grid cell ({task.describe()}) failed: "
                 f"{type(error).__name__}: {error}") from error
 
-    async def handle_query(self, payload: Any) -> Tuple[int, Dict[str, Any]]:
+    async def handle_query(self, payload: Any, frame: bool = False) \
+            -> Tuple[int, Union[Dict[str, Any], bytes]]:
         """Answer one eval query → ``(http_status, response_payload)``.
 
         The protocol-independent core both front-ends call; tests may
         call it directly.  Responses are all-or-nothing: any failing
-        cell fails the query with a structured error.
+        cell fails the query with a structured error.  ``frame=True``
+        (the HTTP client accepts :mod:`repro.sim.wire` frames) answers a
+        successful query that carries latencies with the encoded frame
+        bytes instead of the JSON payload.
         """
         self._counters["queries"] += 1
         try:
@@ -490,6 +501,11 @@ class EvalServer:
             self._counters["errors"] += 1
             return 500, {"ok": False, "error": str(error)}
         self._counters["cells"] += len(tasks)
+        if frame and latencies:
+            return 200, encode_eval_reply([
+                ({"task": task_to_dict(task), "digest": task_digest(task),
+                  "source": source}, stats)
+                for task, (stats, source) in zip(tasks, resolved)])
         results = [
             {
                 "task": task_to_dict(task),
@@ -509,7 +525,8 @@ class EvalServer:
         shutting_down = False
         try:
             status, payload = await self._http_exchange(reader)
-            if status == 200 and payload.get("shutting_down"):
+            if status == 200 and isinstance(payload, dict) \
+                    and payload.get("shutting_down"):
                 shutting_down = True
             await self._write_http(writer, status, payload)
         except (asyncio.IncompleteReadError, ConnectionError,
@@ -526,7 +543,7 @@ class EvalServer:
                 self.request_shutdown()
 
     async def _http_exchange(self, reader: asyncio.StreamReader) \
-            -> Tuple[int, Dict[str, Any]]:
+            -> Tuple[int, Union[Dict[str, Any], bytes]]:
         request_line = await reader.readline()
         if not request_line:
             raise ConnectionError("empty request")
@@ -560,10 +577,12 @@ class EvalServer:
             return 413, {"ok": False,
                          "error": f"body exceeds {MAX_BODY_BYTES} bytes"}
         body = await reader.readexactly(length) if length else b""
-        return await self._route_http(method, target.split("?", 1)[0], body)
+        return await self._route_http(method, target.split("?", 1)[0], body,
+                                      headers.get("accept", ""))
 
-    async def _route_http(self, method: str, path: str, body: bytes) \
-            -> Tuple[int, Dict[str, Any]]:
+    async def _route_http(self, method: str, path: str, body: bytes,
+                          accept: str = "") \
+            -> Tuple[int, Union[Dict[str, Any], bytes]]:
         if path == "/healthz":
             if method != "GET":
                 return self._method_not_allowed("GET")
@@ -581,7 +600,8 @@ class EvalServer:
                 self._counters["errors"] += 1
                 return 400, {"ok": False,
                              "error": f"malformed JSON body: {error}"}
-            return await self.handle_query(payload)
+            return await self.handle_query(payload,
+                                           frame=accepts_frame(accept))
         if path == "/shutdown":
             if method != "POST":
                 return self._method_not_allowed("POST")
@@ -596,10 +616,14 @@ class EvalServer:
 
     @staticmethod
     async def _write_http(writer: asyncio.StreamWriter, status: int,
-                          payload: Dict[str, Any]) -> None:
-        body = json.dumps(payload).encode("utf-8")
+                          payload: Union[Dict[str, Any], bytes]) -> None:
+        if isinstance(payload, bytes):
+            body, content_type = payload, FRAME_CONTENT_TYPE
+        else:
+            body = json.dumps(payload).encode("utf-8")
+            content_type = "application/json"
         head = (f"HTTP/1.1 {status} {_HTTP_REASONS.get(status, 'Unknown')}\r\n"
-                f"Content-Type: application/json\r\n"
+                f"Content-Type: {content_type}\r\n"
                 f"Content-Length: {len(body)}\r\n"
                 f"Connection: close\r\n\r\n").encode("latin-1")
         writer.write(head + body)

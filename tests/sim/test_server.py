@@ -8,9 +8,12 @@ clients, and the unix line protocol.
 """
 
 import asyncio
+import hashlib
 import json
 import time
+from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
@@ -18,9 +21,11 @@ from repro.sim import engine
 from repro.sim.client import AsyncEvalClient, EvalClient
 from repro.sim.engine import EvalTask, evaluate_cell, task_to_dict
 from repro.sim.server import EvalServer, MAX_CELLS_PER_QUERY, _parse_query
-from repro.sim.stats import assert_latencies_identical
+from repro.sim.stats import SimStats, assert_latencies_identical
 from repro.sim.store import ResultStore
 from repro.sim.sweep import SweepSpec
+from repro.sim.wire import FRAME_ACCEPT, FRAME_CONTENT_TYPE, \
+    decode_eval_reply
 
 TASK = EvalTask("EPCM-MM", "gcc", 300, 7)
 OTHER = EvalTask("EPCM-MM", "mcf", 300, 7)
@@ -623,6 +628,200 @@ class TestHttpMisc:
             return status, body
         status, body = asyncio.run(scenario())
         assert status == 200 and body["shutting_down"] is True
+
+
+#: sha256 of the ``POST /eval`` reply body for ``TASK`` (a fresh daemon,
+#: so ``source`` is ``computed``) when the request sends no ``Accept``
+#: header, recorded before the binary frame existed: such requests must
+#: keep getting exactly these JSON bytes.
+JSON_REPLY_SHA256 = {
+    True: "8d7e28f5d2420a85bc5e336a3e4383c4307e80b3314b5da1ac2f121d819ed3c9",
+    False: "92ae8d3915b9523a4a86364225cf432d9f294af51827895d758391d0e5aeef48",
+}
+
+
+async def raw_eval(port, latencies, accept=None):
+    """One raw ``POST /eval`` for ``TASK`` → (headers, body bytes)."""
+    body = json.dumps({"task": task_to_dict(TASK),
+                       "latencies": latencies}).encode()
+    extra = f"Accept: {accept}\r\n" if accept else ""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write((f"POST /eval HTTP/1.1\r\nHost: x\r\n{extra}"
+                  f"Content-Length: {len(body)}\r\n\r\n").encode() + body)
+    await writer.drain()
+    response = await reader.read()
+    writer.close()
+    await writer.wait_closed()
+    return split_response(response)
+
+
+def split_response(response):
+    head, _, body = response.partition(b"\r\n\r\n")
+    headers = {}
+    for line in head.decode("latin-1").split("\r\n")[1:]:
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return headers, body
+
+
+async def start_proxy(upstream_port, drop_accept=False):
+    """An HTTP relay in front of a daemon that records every exchange
+    as ``(request header lines, response headers, response body)``.
+
+    With ``drop_accept`` it removes the request's ``Accept`` header, so
+    the client talks to a daemon that answers only JSON — as one that
+    predates the binary frame does.
+    """
+    exchanges = []
+
+    async def relay(reader, writer):
+        head = await reader.readuntil(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        length = sum(int(line.partition(":")[2]) for line in lines
+                     if line.lower().startswith("content-length:"))
+        body = await reader.readexactly(length)
+        if drop_accept:
+            head = "\r\n".join(
+                line for line in lines
+                if not line.lower().startswith("accept:")).encode("latin-1")
+        upstream_reader, upstream_writer = await asyncio.open_connection(
+            "127.0.0.1", upstream_port)
+        upstream_writer.write(head + body)
+        await upstream_writer.drain()
+        response = await upstream_reader.read()
+        upstream_writer.close()
+        exchanges.append((lines, *split_response(response)))
+        writer.write(response)
+        await writer.drain()
+        writer.close()
+
+    proxy = await asyncio.start_server(relay, "127.0.0.1", 0)
+    return proxy, f"http://127.0.0.1:{proxy.sockets[0].getsockname()[1]}", \
+        exchanges
+
+
+def sent_accept(lines):
+    return [line for line in lines if line.lower().startswith("accept:")]
+
+
+def assert_same_result(actual, expected):
+    assert_latencies_identical(actual.latencies_ns, expected.latencies_ns)
+    for field in fields(SimStats):
+        if field.name != "latencies_ns":
+            assert getattr(actual, field.name) == getattr(expected, field.name)
+
+
+class TestFrameNegotiation:
+    @pytest.mark.parametrize("latencies", [True, False])
+    def test_request_without_accept_gets_the_same_json_bytes(self,
+                                                              latencies):
+        async def scenario(server):
+            return await raw_eval(server.port, latencies)
+        headers, body = run_scenario(scenario)
+        assert headers["content-type"] == "application/json"
+        assert hashlib.sha256(body).hexdigest() \
+            == JSON_REPLY_SHA256[latencies]
+
+    def test_accept_frames_only_latency_replies(self):
+        async def scenario(server):
+            lean = await raw_eval(server.port, False, FRAME_ACCEPT)
+            bad = await raw_eval(server.port, "yes", FRAME_ACCEPT)
+            framed = await raw_eval(server.port, True, FRAME_ACCEPT)
+            return framed, lean, bad
+        (framed, body), (lean, lean_body), (bad, _) = run_scenario(scenario)
+        assert framed["content-type"] == FRAME_CONTENT_TYPE
+        row = decode_eval_reply(body)["results"][0]
+        assert row["task"] == task_to_dict(TASK)
+        assert_same_result(SimStats.from_dict(row["stats"]),
+                           evaluate_cell(TASK))
+        # latencies=false and errors stay JSON, byte for byte.
+        assert lean["content-type"] == "application/json"
+        assert bad["content-type"] == "application/json"
+        assert hashlib.sha256(lean_body).hexdigest() \
+            == JSON_REPLY_SHA256[False]
+
+    def test_clients_ask_for_frames_only_with_latencies(self):
+        async def scenario(server):
+            proxy, address, exchanges = await start_proxy(server.port)
+            loop = asyncio.get_running_loop()
+            try:
+                sync = EvalClient(address)
+                lean = await loop.run_in_executor(
+                    None, lambda: sync.eval_cell(TASK, latencies=False))
+                await AsyncEvalClient(address).eval_cell(TASK,
+                                                         latencies=False)
+                await loop.run_in_executor(None, sync.eval_cell, TASK)
+                await AsyncEvalClient(address).eval_cell(TASK)
+                await loop.run_in_executor(None, sync.stats)
+            finally:
+                proxy.close()
+                await proxy.wait_closed()
+            return lean, exchanges
+        lean, exchanges = run_scenario(scenario)
+        (sync_lean, async_lean, sync_full, async_full, stats) = exchanges
+        for lines, headers, body in (sync_lean, async_lean):
+            assert sent_accept(lines) == []
+            assert headers["content-type"] == "application/json"
+        # The first latencies=false query computed the cell: its reply
+        # is byte-identical to the one recorded before frames existed.
+        assert hashlib.sha256(sync_lean[2]).hexdigest() \
+            == JSON_REPLY_SHA256[False]
+        assert lean.latency_summary is not None
+        for lines, headers, _body in (sync_full, async_full):
+            assert sent_accept(lines) == [f"Accept: {FRAME_ACCEPT}"]
+            assert headers["content-type"] == FRAME_CONTENT_TYPE
+        assert sent_accept(stats[0]) == []
+        assert stats[1]["content-type"] == "application/json"
+
+    def test_json_only_daemon_gives_identical_results(self):
+        tasks = [TASK, OTHER]
+
+        async def scenario(server):
+            proxy, address, exchanges = await start_proxy(server.port,
+                                                          drop_accept=True)
+            loop = asyncio.get_running_loop()
+            try:
+                results = {}
+                for name, target in (("json", address),
+                                     ("frame", server.http_address)):
+                    results[name, "sync"] = await loop.run_in_executor(
+                        None, EvalClient(target).eval_tasks, tasks)
+                    results[name, "async"] = \
+                        await AsyncEvalClient(target).eval_tasks(tasks)
+            finally:
+                proxy.close()
+                await proxy.wait_closed()
+            return results, exchanges
+        results, exchanges = run_scenario(scenario)
+        assert [headers["content-type"] for _lines, headers, _ in exchanges] \
+            == ["application/json"] * 2
+        for client in ("sync", "async"):
+            for task in tasks:
+                assert_same_result(results["json", client][task],
+                                   results["frame", client][task])
+                assert_same_result(results["frame", client][task],
+                                   evaluate_cell(task))
+
+    def test_frame_results_are_views_of_the_reply_bytes(self):
+        async def scenario(server):
+            _headers, body = await raw_eval(server.port, True, FRAME_ACCEPT)
+            batch = await asyncio.get_running_loop().run_in_executor(
+                None, EvalClient(server.http_address).eval_tasks,
+                [TASK, OTHER])
+            return body, batch
+        body, batch = run_scenario(scenario)
+        samples = SimStats.from_dict(
+            decode_eval_reply(body)["results"][0]["stats"]).latencies_ns
+        assert samples.dtype == np.float64 and samples.ndim == 1
+        assert not samples.flags.writeable
+        assert samples.base is body
+        start = np.frombuffer(body, dtype=np.uint8).ctypes.data
+        assert start <= samples.ctypes.data
+        assert samples.ctypes.data + samples.nbytes <= start + len(body)
+        # A batch decodes into views of one shared reply buffer.
+        first, second = (batch[task].latencies_ns for task in (TASK, OTHER))
+        assert isinstance(first.base, bytes) and first.base is second.base
+        assert not first.flags.writeable and not second.flags.writeable
 
 
 class TestFig9ReadThrough:

@@ -1,6 +1,8 @@
 """Zero-copy shared-memory trace plane + persistent worker pool."""
 
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from repro.sim import engine
 from repro.sim.engine import (EvalTask, clear_device_caches, evaluate_cell,
                               run_evaluation, shutdown_worker_pool)
+from repro.sim.stats import assert_latencies_identical
 from repro.sim.tracegen import (attach_trace_arrays, cached_trace_arrays,
                                 clear_trace_plane, share_trace_arrays,
                                 trace_plane_stats)
@@ -244,6 +247,48 @@ class TestThreadPool:
         run_evaluation(workers=3, **kwargs)
         assert engine._THREAD_POOL is not pool
         assert engine._THREAD_POOL[1] == 3
+
+    @pytest.mark.parametrize("sizes", [(1, 2), (2, 3)])
+    def test_concurrent_fan_outs_with_different_sizes(self, sizes):
+        # Each caller's worker count differs from the other's, so every
+        # batch that finds the other's pool replaces it.  A replaced
+        # executor must keep serving the batch still waiting on it:
+        # shutting it down under that batch cancels its futures or
+        # strands it waiting on them.
+        tasks = [EvalTask("EPCM-MM", workload, 150, seed)
+                 for workload in ("gcc", "mcf") for seed in (1, 2)]
+        expected = engine.evaluate_tasks(tasks, workers=1)
+        results, errors = [], []
+
+        def caller(workers):
+            try:
+                for _ in range(8):
+                    results.append(engine.evaluate_tasks(
+                        tasks, workers=workers, pool="threads"))
+            except Exception as error:    # reported by the assert below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(workers,),
+                                        daemon=True)
+                       for workers in sizes]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert len(results) == 16
+        for result in results:
+            for task in tasks:
+                assert_latencies_identical(result[task].latencies_ns,
+                                           expected[task].latencies_ns)
+                assert result[task] == expected[task]
+        assert not engine._THREAD_POOL_LEASES
 
     def test_threads_bypass_the_trace_plane(self):
         clear_trace_plane()
