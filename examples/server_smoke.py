@@ -7,8 +7,10 @@ subprocess, wait for its ready line, issue one cache-miss query and the
 same query again (served without recomputation — verified via
 ``/stats``), check that a latency query asking for the binary frame
 gets one while a request without an ``Accept`` header gets JSON, and
-that both decode to identical stats, then request shutdown and assert
-the daemon exits 0.
+that both decode to identical stats, check that the same cell's
+``latencies=false`` reply carries the latency summary of the
+frame-decoded samples, then request shutdown and assert the daemon
+exits 0.
 
 Usage::
 
@@ -25,7 +27,7 @@ import urllib.parse
 
 from repro.sim.client import EvalClient
 from repro.sim.engine import EvalTask, evaluate_cell, task_to_dict
-from repro.sim.stats import SimStats
+from repro.sim.stats import SimStats, summarize_latencies
 from repro.sim.wire import FRAME_ACCEPT, decode_eval_reply, is_frame
 
 TASK = EvalTask("EPCM-MM", "gcc", 500, 7)
@@ -96,6 +98,13 @@ def main() -> int:
         assert framed == plain == direct, \
             "frame and JSON replies decode to different stats"
         print("frame and JSON replies negotiated and bit-identical")
+
+        lean = client.eval_cell(TASK, latencies=False)
+        assert len(lean.latencies_ns) == 0, "summary reply carried samples"
+        assert lean.latency_summary == summarize_latencies(
+            framed.latencies_ns), \
+            "summary reply disagrees with the frame-decoded samples"
+        print("summary reply matches the summary of the framed samples")
 
         client.shutdown()
         code = daemon.wait(timeout=60)

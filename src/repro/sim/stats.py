@@ -11,7 +11,12 @@ entries written with ``latencies=False``, trimmed wire responses), a
 fixed-bin **latency summary** — exact count/mean/min/max plus a
 log-spaced histogram — stands in: the mean and extremes stay exact and
 percentiles interpolate within their bin, so percentile queries against
-archival stores return numbers instead of NaN.
+archival stores return numbers instead of NaN.  The summary is computed
+once per result: ``to_dict(latencies=False)`` memoizes it on the
+instance, so the store write, a daemon's summary replies and the
+fabric's daemons share one computation.  Its histogram counts are
+sort-based and exact; the mean, min and max come from the unsorted
+array (see :func:`summarize_latencies`).
 
 ``SimStats.latencies_ns`` is a read-only ``float64`` ndarray on every
 path — controller, store, wire decode, pool workers — so a cached result
@@ -40,6 +45,10 @@ HIST_EDGES_NS = np.logspace(
     HIST_DECADES[0], HIST_DECADES[1],
     (HIST_DECADES[1] - HIST_DECADES[0]) * HIST_BINS_PER_DECADE + 1)
 
+
+#: Instance-``__dict__`` key of a result's memoized latency summary
+#: (see :meth:`SimStats._samples_summary`).
+_SUMMARY_MEMO = "_samples_summary_memo"
 
 #: The one empty sample array every sample-less result shares.
 _NO_SAMPLES = np.empty(0)
@@ -102,13 +111,25 @@ def summarize_latencies(samples: np.ndarray) -> Dict[str, Any]:
 
     ``counts`` has ``len(HIST_EDGES_NS) + 1`` entries: an underflow bin
     below the first edge, the log-spaced bins, and an overflow bin at
-    the top — every sample lands somewhere, whatever the device.
+    the top — every sample lands somewhere, whatever the device.  Bin
+    ``b`` holds ``edge[b-1] <= x < edge[b]``; NaN lands in the overflow
+    bin.
+
+    The counts are exact and sort-based: one ``np.sort`` of the samples,
+    then one lookup per edge into the sorted array (the number of
+    samples below it), differenced — the same integers as binning every
+    sample against the edges, NaN and ±inf included, at a fraction of
+    the cost.  ``mean_ns``, ``min_ns`` and ``max_ns`` come from the
+    *unsorted* array: the summation order of ``np.mean`` decides its
+    last bit, and ``np.min`` keeps propagating NaN.
+
+    :meth:`SimStats.to_dict` calls this at most once per result and
+    memoizes the outcome.
     """
     if len(samples) == 0:
         raise SimulationError("no latency samples to summarize")
-    counts = np.bincount(np.searchsorted(HIST_EDGES_NS, samples,
-                                         side="right"),
-                         minlength=len(HIST_EDGES_NS) + 1)
+    below = np.searchsorted(np.sort(samples), HIST_EDGES_NS, side="left")
+    counts = np.diff(below, prepend=0, append=len(samples))
     return {
         "count": int(len(samples)),
         "mean_ns": float(np.mean(samples)),
@@ -182,6 +203,16 @@ class SimStats:
         if self.sim_time_ns <= 0.0:
             raise SimulationError("simulation time must be positive")
         self.latencies_ns = _readonly_latencies(self.latencies_ns)
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # The summary memo is derived data: pickles (fork-pool and
+        # process-executor results, deepcopy) carry the fields only,
+        # byte for byte as without it.
+        state = self.__dict__
+        if _SUMMARY_MEMO in state:
+            state = {name: value for name, value in state.items()
+                     if name != _SUMMARY_MEMO}
+        return state
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         # Unpickling (fork-pool and process-executor results, deepcopy)
@@ -323,9 +354,27 @@ class SimStats:
             self.latencies_ns.tolist() if latencies else [])
         if not latencies and len(self.latencies_ns) \
                 and self.latency_summary is None:
-            payload["latency_summary"] = summarize_latencies(
-                self.latencies_ns)
+            payload["latency_summary"] = self._samples_summary()
         return payload
+
+    def _samples_summary(self) -> Dict[str, Any]:
+        """:func:`summarize_latencies` of ``latencies_ns``, computed once.
+
+        The summary is kept in the instance ``__dict__`` (not a field, so
+        equality, ``fields()`` and the wire form are unchanged) next to
+        the array it was computed from; a reassigned ``latencies_ns``
+        recomputes it.  Concurrent first calls may each compute it and
+        store the same value — no lock, so thread-pool workers sharing
+        a result never serialize here.  Each call returns its own
+        ``counts`` list, so a caller cannot mutate the memo.
+        """
+        memo = self.__dict__.get(_SUMMARY_MEMO)
+        if memo is None or memo[0] is not self.latencies_ns:
+            memo = (self.latencies_ns,
+                    summarize_latencies(self.latencies_ns))
+            self.__dict__[_SUMMARY_MEMO] = memo
+        summary = memo[1]
+        return dict(summary, counts=list(summary["counts"]))
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "SimStats":

@@ -4,6 +4,7 @@ Examples are documentation that executes; these tests keep them from
 rotting.  Each runs as a subprocess with the repository's interpreter.
 """
 
+import os
 import pathlib
 import subprocess
 import sys
@@ -13,10 +14,11 @@ EXAMPLES_DIR = pathlib.Path(__file__).resolve().parents[2] / "examples"
 ALL_EXAMPLES = sorted(p.name for p in EXAMPLES_DIR.glob("*.py"))
 
 
-def run_example(name: str, *args: str) -> subprocess.CompletedProcess:
+def run_example(name: str, *args: str, env=None) \
+        -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, str(EXAMPLES_DIR / name), *args],
-        capture_output=True, text=True, timeout=300,
+        capture_output=True, text=True, timeout=300, env=env,
     )
 
 
@@ -95,7 +97,12 @@ class TestExamplesRun:
         assert "clean shutdown" in result.stdout
 
     def test_sanitize_smoke(self):
-        result = run_example("sanitize_smoke.py")
+        # The example exists to load the instrumented twin; a suite run
+        # with the compiled loop switched off (REPRO_FASTLOOP=0) must not
+        # pass that switch on to it.
+        env = {key: value for key, value in os.environ.items()
+               if key != "REPRO_FASTLOOP"}
+        result = run_example("sanitize_smoke.py", env=env)
         assert result.returncode == 0, result.stderr
         # Unsupported toolchains skip legs; supported ones must pass.
         assert ("all legs passed" in result.stdout

@@ -18,7 +18,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.sim import _fastloop, engine, tracegen
+from repro.sim import _fastloop, engine, stats as stats_module, tracegen
 from repro.sim.client import EvalClient
 from repro.sim.engine import EvalTask, controller_for, evaluate_cell
 from repro.sim.server import EvalServer
@@ -160,6 +160,125 @@ class TestImmutability:
                                         latencies_ns=changed))
         assert other != stats
         assert SimStats.from_dict(stats.to_dict()) == stats
+
+
+class TestSummaryMemo:
+    """``to_dict(latencies=False)`` summarizes a result once and shares
+    the summary between the store write and every summary reply."""
+
+    def test_one_summary_per_result_across_store_and_replies(
+            self, tmp_path, monkeypatch):
+        calls = []
+        real = stats_module.summarize_latencies
+
+        def counting(samples):
+            calls.append(len(samples))
+            return real(samples)
+        monkeypatch.setattr(stats_module, "summarize_latencies", counting)
+        sock = tmp_path / "eval.sock"
+
+        async def scenario():
+            server = EvalServer(store=tmp_path / "store", unix_path=sock)
+            await server.start()
+            try:
+                def queries():
+                    http = EvalClient(server.http_address)
+                    full = http.eval_cell(TASK)          # cold: store.put
+                    lean = [http.eval_cell(TASK, latencies=False)
+                            for _ in range(3)]
+                    lean.append(EvalClient(f"unix://{sock}").eval_cell(
+                        TASK, latencies=False))
+                    return full, lean, http.stats()
+                return await asyncio.get_running_loop().run_in_executor(
+                    None, queries)
+            finally:
+                await server.stop()
+        full, lean, counters = asyncio.run(scenario())
+        assert calls == [TASK.num_requests]
+        assert counters["computed"] == 1
+        summary = real(full.latencies_ns)
+        for reply in lean:
+            assert reply.latency_summary == summary
+
+    def test_mutating_a_returned_summary_leaves_the_next_unchanged(self):
+        computed = evaluate_cell(TASK)
+        first = computed.to_dict(latencies=False)
+        wire = json.dumps(first)
+        first["latency_summary"]["counts"][0] += 7
+        first["latency_summary"]["mean_ns"] = -1.0
+        assert json.dumps(computed.to_dict(latencies=False)) == wire
+
+    def test_mutating_a_reply_leaves_the_next_reply_unchanged(
+            self, tmp_path):
+        query = {"task": engine.task_to_dict(TASK), "latencies": False}
+
+        async def scenario():
+            server = EvalServer(store=tmp_path / "store")
+            await server.start()
+            try:
+                _, reply = await server.handle_query(query)
+                stats = reply["results"][0]["stats"]
+                wire = json.dumps(stats)
+                stats["latency_summary"]["counts"][-1] += 1
+                _, again = await server.handle_query(query)
+                assert again["results"][0]["source"] == "lru"
+                return wire, json.dumps(again["results"][0]["stats"])
+            finally:
+                await server.stop()
+        wire, again = asyncio.run(scenario())
+        assert again == wire
+
+    def test_memoized_result_equals_pickles_and_copies_as_fresh(self):
+        memoized = evaluate_cell(TASK)
+        unsummarized = pickle.dumps(memoized)
+        memoized.to_dict(latencies=False)
+        assert memoized == evaluate_cell(TASK)
+        assert pickle.dumps(memoized) == unsummarized
+        for clone in (pickle.loads(pickle.dumps(memoized)),
+                      copy.deepcopy(memoized)):
+            assert_contract(clone)
+            assert clone == memoized
+            assert clone.to_dict(latencies=False) \
+                == memoized.to_dict(latencies=False)
+
+    def test_concurrent_first_summaries_agree(self):
+        # No lock guards the memo: racing first calls may each compute
+        # the summary, but every caller must see the same value.
+        computed = evaluate_cell(TASK)
+        expected = json.dumps(computed.to_dict(latencies=False))
+        replies, errors = [], []
+        for _ in range(5):
+            fresh = SimStats.from_dict(computed.to_dict())
+
+            def summarize(stats=fresh):
+                try:
+                    for _ in range(20):
+                        replies.append(json.dumps(
+                            stats.to_dict(latencies=False)))
+                except Exception as error:    # reported by the assert
+                    errors.append(error)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=summarize)
+                           for _ in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert replies == [expected] * (5 * 6 * 20)
+
+    def test_reassigned_samples_are_summarized_afresh(self):
+        stats = SimStats("d", "w", 3, 3, 0, 384, 10.0, 5.0, 5.0,
+                         latencies_ns=[1.0, 2.0, 3.0])
+        assert stats.to_dict(False)["latency_summary"]["max_ns"] == 3.0
+        stats.latencies_ns = np.array([1.0, 2.0, 30.0])
+        assert stats.to_dict(False)["latency_summary"]["max_ns"] == 30.0
 
 
 class TestThreadFanoutTraces:
